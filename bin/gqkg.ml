@@ -937,8 +937,8 @@ let mutate_cmd =
       List.rev !ops
     in
     (* Mutations accumulate in a delta overlay; each commit re-freezes
-       incrementally through the Governor (epoch swing + semantic-cache
-       retention accounting). *)
+       incrementally through the Governor, and the superseded epoch's
+       memo retires with it. *)
     let overlay = ref (Overlay.create (Epochs.base mgr)) in
     let commits = ref 0 and reused = ref 0 and rebuilt = ref 0 in
     let flush_commit () =
@@ -985,15 +985,12 @@ let mutate_cmd =
       Printf.printf "columns: %d reused, %d rebuilt across commits (reuse ratio %.2f)\n" !reused
         !rebuilt
         (float_of_int !reused /. float_of_int (max 1 (!reused + !rebuilt)));
-    let s = Semcache.stats () in
-    Printf.printf "semantic cache: %d commits noted, %d entries invalidated, %d + %d entries live\n"
-      s.Semcache.commits s.Semcache.invalidated s.Semcache.plan_entries s.Semcache.result_entries;
+    Printf.printf "semantic cache: %d entries invalidated with their retired epochs\n"
+      (Semcache.stats ()).Semcache.invalidated;
     (match journal_out with
     | Some path ->
         let ops = Overlay.history (Epochs.base mgr) in
-        let oc = open_out path in
-        output_string oc (Journal.ops_to_string ops);
-        close_out oc;
+        Gqkg_util.Atomic_file.write path (fun oc -> output_string oc (Journal.ops_to_string ops));
         Printf.printf "journal: wrote %s (%d ops, replayable minimal history)\n" path
           (List.length ops)
     | None -> ());
@@ -1209,7 +1206,6 @@ let stats_cmd =
     print_string (Snapshot.describe inst);
     (* The cardinality estimates the multiway-join planner consumes. *)
     print_string (Gqkg_core.Join.Index.describe (Gqkg_core.Join.Index.get inst));
-    print_endline (Partition.describe (Partition.build inst));
     Fmt.pr "%a@." Gqkg_analytics.Graph_stats.pp_summary (Gqkg_analytics.Graph_stats.summarize inst);
     let _, scc = Gqkg_analytics.Traversal.strongly_connected_components inst in
     Printf.printf "strongly connected components: %d\n" scc;
@@ -1220,18 +1216,7 @@ let stats_cmd =
     let members, density = Gqkg_analytics.Densest.charikar inst in
     Printf.printf "densest subgraph (charikar): %d nodes, density %.3f\n" (List.length members) density;
     Printf.printf "degeneracy (max k-core): %d\n" (Gqkg_analytics.Kcore.degeneracy inst);
-    let s = Semcache.stats () in
-    Printf.printf
-      "semantic cache (this process): plans %d hits / %d lookups, results %d hits / %d lookups, \
-       %d + %d entries\n"
-      s.Semcache.plan_hits
-      (s.Semcache.plan_hits + s.Semcache.plan_misses)
-      s.Semcache.result_hits
-      (s.Semcache.result_hits + s.Semcache.result_misses)
-      s.Semcache.plan_entries s.Semcache.result_entries;
-    Printf.printf "semantic cache retention: %d epoch commits, %d entries invalidated, %d live\n"
-      s.Semcache.commits s.Semcache.invalidated
-      (s.Semcache.plan_entries + s.Semcache.result_entries)
+    Printf.printf "snapshot memo: %d derived values held\n" (Memo.size inst.Snapshot.memo)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Structural statistics") Term.(const run $ verbose_flag $ graph_arg)
 

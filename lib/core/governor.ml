@@ -58,12 +58,6 @@ let paths ~budget ?sources inst regex ~length =
 let shortest_path_length ~budget ?max_length inst regex ~source ~target =
   outcome budget (Rpq.shortest_path_length ~budget ?max_length inst regex ~source ~target)
 
-(* The write path joins the governed surface here: commit the overlay
-   through the epoch manager, then tell the semantic cache which epochs
-   are still live — entries of retired epochs drop, entries of pinned
-   ones are retained (a reader pinned to epoch N keeps its hits while
-   the writer commits N+1). *)
-let commit mgr overlay =
-  let base, reuse = Gqkg_graph.Epochs.commit mgr overlay in
-  Semcache.note_commit ~live_epochs:(Gqkg_graph.Epochs.live_epochs mgr);
-  (base, reuse)
+(* The write path joins the governed surface here.  Retiring the
+   superseded epoch's cache entries is the epoch manager's own doing. *)
+let commit = Gqkg_graph.Epochs.commit

@@ -76,11 +76,10 @@ val paths :
   length:int ->
   Path.t list Budget.outcome
 
-(** Commit a mutation overlay through the epoch manager and notify the
-    semantic cache: entries keyed by retired epochs are invalidated,
-    entries of the new current epoch and any still-pinned older epochs
-    are retained. The write-path entry point callers should use instead
-    of raw {!Epochs.commit}. *)
+(** Commit a mutation overlay through the epoch manager: {!Epochs.commit}
+    under the governed surface's name. The superseded epoch's memo
+    (semantic cache entries included) is emptied as soon as it retires;
+    pinned older epochs keep theirs until their last unpin. *)
 val commit : Epochs.t -> Overlay.t -> Overlay.base * Overlay.reuse
 
 (** d_r(a, b); [Some d] is always the true shortest length, [Partial

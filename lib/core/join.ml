@@ -193,8 +193,6 @@ module Index = struct
     in_tries : trie array; (* grouped by dst *)
     self_tries : trie array; (* T1 of self-loop nodes *)
     stats : label_stat array;
-    label_ids_cache : (Const.t, int list) Hashtbl.t;
-    node_label_cache : (Const.t, int array) Hashtbl.t;
   }
 
   (* Build one orientation: edges of label [l] as a T2 keyed by
@@ -312,54 +310,29 @@ module Index = struct
       in_tries;
       self_tries;
       stats;
-      label_ids_cache = Hashtbl.create 8;
-      node_label_cache = Hashtbl.create 8;
     }
 
-  (* Epoch-keyed cache: snapshots are immutable and epochs
-     process-unique, so the index of an epoch never goes stale.  Bounded
-     so long-lived processes cycling through overlay commits don't leak. *)
-  let cache : (int, t) Hashtbl.t = Hashtbl.create 8
-  let cache_mutex = Mutex.create ()
-  let max_cached = 8
+  (* One index per snapshot, and one label->nodes set per constant, in
+     the snapshot's memo. *)
+  let indexes : (unit, t) Memo.kind = Memo.kind ~cap:1
+  let label_nodes : (Const.t, int array) Memo.kind = Memo.kind ~cap:64
+  let get snap = Memo.find_or_add snap.Snapshot.memo indexes () (fun () -> build snap)
 
-  let get snap =
-    Mutex.lock cache_mutex;
-    let idx =
-      match Hashtbl.find_opt cache snap.Snapshot.epoch with
-      | Some idx -> idx
-      | None ->
-          let idx = build snap in
-          if Hashtbl.length cache >= max_cached then Hashtbl.reset cache;
-          Hashtbl.replace cache snap.Snapshot.epoch idx;
-          idx
-    in
-    Mutex.unlock cache_mutex;
-    idx
-
+  (* One pass over the label universe: too cheap for a memo entry. *)
   let edge_label_ids idx c =
-    match Hashtbl.find_opt idx.label_ids_cache c with
-    | Some ids -> ids
-    | None ->
-        let ids = ref [] in
-        for l = idx.snap.Snapshot.num_labels - 1 downto 0 do
-          if idx.snap.Snapshot.label_sat l (Atom.Label c) then ids := l :: !ids
-        done;
-        Hashtbl.replace idx.label_ids_cache c !ids;
-        !ids
+    let snap = idx.snap in
+    List.filter
+      (fun l -> snap.Snapshot.label_sat l (Atom.Label c))
+      (List.init snap.Snapshot.num_labels Fun.id)
 
   let nodes_with_const_label idx c =
-    match Hashtbl.find_opt idx.node_label_cache c with
-    | Some a -> a
-    | None ->
-        let snap = idx.snap in
+    let snap = idx.snap in
+    Memo.find_or_add snap.Snapshot.memo label_nodes c (fun () ->
         let out = ref [] in
         for v = snap.Snapshot.num_nodes - 1 downto 0 do
           if snap.Snapshot.node_atom v (Atom.Label c) then out := v :: !out
         done;
-        let a = Array.of_list !out in
-        Hashtbl.replace idx.node_label_cache c a;
-        a
+        Array.of_list !out)
 
   let label_stats idx = Array.copy idx.stats
 

@@ -33,8 +33,8 @@ module Budget = Gqkg_util.Budget
 module Index : sig
   (** Label-sorted adjacency: for every edge-label id, the distinct
       (src, dst) pairs grouped by src (out orientation) and by dst (in
-      orientation), built once per snapshot by counting sorts and cached
-      by {!Snapshot.epoch}.  Empty when the snapshot interns no edge
+      orientation), built once per snapshot by counting sorts and kept
+      in the snapshot's memo.  Empty when the snapshot interns no edge
       labels ([num_labels = 0]). *)
   type t
 

@@ -1,7 +1,6 @@
-(* Bounded drop-oldest association caches keyed by (snapshot epoch,
-   canonical key).  Deliberately simple: entry counts are small (a
-   repeated-query workload has few distinct canonical classes), so
-   linear scans beat the bookkeeping of a real LRU here. *)
+(* The semantic caches are two kinds of entry in each snapshot's memo
+   (Gqkg_graph.Memo), keyed by canonical key: they live on the snapshot
+   they were computed from and retire with its epoch. *)
 
 open Gqkg_graph
 
@@ -10,83 +9,34 @@ type stats = {
   plan_misses : int;
   result_hits : int;
   result_misses : int;
-  plan_entries : int;
-  result_entries : int;
-  commits : int;
   invalidated : int;
 }
 
 let enabled = ref true
-
-type 'a cache = { mutable entries : (int * string * 'a) list; cap : int }
-
-let plan_cache : Product.t cache = { entries = []; cap = 32 }
-let result_cache : (int * int) list cache = { entries = []; cap = 128 }
-let plan_hits = ref 0
-let plan_misses = ref 0
-let result_hits = ref 0
-let result_misses = ref 0
-let commits = ref 0
-let invalidated = ref 0
+let plans : (string, Product.t) Memo.kind = Memo.kind ~cap:32
+let results : (string, (int * int) list) Memo.kind = Memo.kind ~cap:128
 
 let stats () =
+  let p = Memo.counts plans and r = Memo.counts results in
   {
-    plan_hits = !plan_hits;
-    plan_misses = !plan_misses;
-    result_hits = !result_hits;
-    result_misses = !result_misses;
-    plan_entries = List.length plan_cache.entries;
-    result_entries = List.length result_cache.entries;
-    commits = !commits;
-    invalidated = !invalidated;
+    plan_hits = p.Memo.hits;
+    plan_misses = p.Memo.misses;
+    result_hits = r.Memo.hits;
+    result_misses = r.Memo.misses;
+    invalidated = p.Memo.dropped + r.Memo.dropped;
   }
 
 let reset () =
-  plan_cache.entries <- [];
-  result_cache.entries <- [];
-  plan_hits := 0;
-  plan_misses := 0;
-  result_hits := 0;
-  result_misses := 0;
-  commits := 0;
-  invalidated := 0
+  Memo.reset_counts plans;
+  Memo.reset_counts results
 
-(* Epoch-keyed entries can never be *wrong* across commits — a new
-   snapshot has a fresh epoch, so stale entries simply stop matching.
-   Explicit invalidation is about memory and honest accounting: on
-   commit, drop entries whose epoch is no longer live (retained entries
-   are those of still-pinned epochs plus the new current one). *)
-let note_commit ~live_epochs =
-  incr commits;
-  let drop cache =
-    let keep, dead = List.partition (fun (e, _, _) -> List.mem e live_epochs) cache.entries in
-    cache.entries <- keep;
-    List.length dead
-  in
-  invalidated := !invalidated + drop plan_cache + drop result_cache
-
-let rec take n = function [] -> [] | _ when n <= 0 -> [] | x :: rest -> x :: take (n - 1) rest
-
-let find cache hits misses epoch key =
-  if not !enabled then None
-  else
-    match
-      List.find_opt (fun (e, k, _) -> e = epoch && String.equal k key) cache.entries
-    with
-    | Some (_, _, v) ->
-        incr hits;
-        Some v
-    | None ->
-        incr misses;
-        None
-
-let store cache epoch key v =
-  if
-    !enabled
-    && not (List.exists (fun (e, k, _) -> e = epoch && String.equal k key) cache.entries)
-  then cache.entries <- (epoch, key, v) :: take (cache.cap - 1) cache.entries
-
-let find_product (s : Snapshot.t) ~key = find plan_cache plan_hits plan_misses s.epoch key
-let store_product (s : Snapshot.t) ~key p = store plan_cache s.epoch key p
-let find_pairs (s : Snapshot.t) ~key = find result_cache result_hits result_misses s.epoch key
-let store_pairs (s : Snapshot.t) ~key v = store result_cache s.epoch key v
+let find kind (s : Snapshot.t) key = if !enabled then Memo.find s.memo kind key else None
+let store kind (s : Snapshot.t) key v = if !enabled then ignore (Memo.add s.memo kind key v)
+(* A product keeps interning states as kernels walk it, so it is one
+   thread's working set: plan keys carry the caller's thread id, and two
+   threads never walk one product at once. *)
+let own key = key ^ "|t" ^ string_of_int (Thread.id (Thread.self ()))
+let find_product s ~key = find plans s (own key)
+let store_product s ~key p = store plans s (own key) p
+let find_pairs s ~key = find results s key
+let store_pairs s ~key v = store results s key v

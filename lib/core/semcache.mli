@@ -1,31 +1,30 @@
 (** The Governor's semantic cache: plans (warmed products) and full
-    result sets keyed by (snapshot epoch, canonical-automaton key).
+    result sets keyed by canonical-automaton key, held in the memo of
+    the snapshot they were computed on ({!Gqkg_graph.Snapshot.t.memo}).
 
     The key contract (DESIGN.md §5g): two queries share a canonical key
     exactly when their minimal DFAs over the shared signature alphabet
     are isomorphic, which implies equal languages over that alphabet and
     therefore — because every realizable node/edge outcome vector is
     among the enumerated letters — equal answer sets on any snapshot.
-    The snapshot {!Gqkg_graph.Snapshot.t.epoch} stamp is process-unique
-    per constructed snapshot, so entries can never outlive or leak
-    across graph versions. Only [Complete] results may be stored
+    Entries sit on their snapshot, so they can never leak across graph
+    versions, and they are dropped the moment {!Gqkg_graph.Epochs}
+    retires the snapshot's epoch. Only [Complete] results may be stored
     (callers enforce this); a partial answer under a tripped budget is
     never served back.
 
-    Both caches are bounded (drop-oldest) and process-global; {!reset}
-    clears entries and counters (tests, bench A/B runs). *)
+    Each snapshot holds at most 32 plans and 128 result sets, dropping
+    the oldest first. *)
 
 open Gqkg_graph
 
+(** Process-wide counters since the last {!reset}. *)
 type stats = {
   plan_hits : int;
   plan_misses : int;
   result_hits : int;
   result_misses : int;
-  plan_entries : int;
-  result_entries : int;
-  commits : int;  (** epoch commits observed via {!note_commit} *)
-  invalidated : int;  (** entries dropped across all commits (retired epochs) *)
+  invalidated : int;  (** entries dropped when their snapshot's epoch retired *)
 }
 
 (** Master switch; [false] makes every lookup miss silently (no
@@ -33,18 +32,15 @@ type stats = {
 val enabled : bool ref
 
 val stats : unit -> stats
+
+(** Zero the counters (tests, bench A/B runs). Entries stay on their
+    snapshots. *)
 val reset : unit -> unit
 
-(** Tell the cache an epoch commit happened: entries keyed by epochs
-    not in [live_epochs] (the new current epoch plus any still-pinned
-    older ones, see {!Gqkg_graph.Epochs.live_epochs}) are dropped and
-    counted as [invalidated]; entries of pinned epochs are retained, so
-    an in-flight reader pinned to epoch N keeps its cache hits while
-    the writer commits N+1. *)
-val note_commit : live_epochs:int list -> unit
-
-(** Plan cache: warmed product automata, reusable because products are
-    read-mostly and re-entrant across evaluations on the same snapshot. *)
+(** Plan cache: warmed product automata, reusable across evaluations on
+    the same snapshot. A product keeps interning states while kernels
+    walk it, so each thread has its own: a thread never gets a product
+    stored by another. *)
 val find_product : Snapshot.t -> key:string -> Product.t option
 
 val store_product : Snapshot.t -> key:string -> Product.t -> unit

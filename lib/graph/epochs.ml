@@ -42,12 +42,15 @@ let pin t =
           cur.snap
       | [] -> assert false)
 
-(* Drop live entries that are neither current nor pinned. *)
+(* Retire live entries that are neither current nor pinned: they leave
+   the live list and their snapshots' memos are emptied, so derived
+   values go at the commit or unpin that retires the epoch. *)
 let sweep t =
   match t.live with
   | cur :: olds ->
-      let survivors = List.filter (fun e -> e.pins > 0) olds in
-      t.n_retired <- t.n_retired + (List.length olds - List.length survivors);
+      let survivors, retired = List.partition (fun e -> e.pins > 0) olds in
+      List.iter (fun e -> Memo.retire e.snap.Snapshot.memo) retired;
+      t.n_retired <- t.n_retired + List.length retired;
       t.live <- cur :: survivors
   | [] -> assert false
 

@@ -3,7 +3,8 @@
     started on — commits swing the current pointer without touching
     pinned epochs, so readers never block writers and never see a
     half-applied delta. Old epochs retire (become unreachable) when
-    their pin count drops to zero.
+    they are superseded and their pin count drops to zero; retiring an
+    epoch empties its snapshot's {!Snapshot.t.memo} on the spot.
 
     Thread-safe: [pin]/[unpin]/[commit] take a short internal lock;
     queries run lock-free on the pinned immutable snapshot. Writing is
@@ -20,12 +21,12 @@ val base : t -> Overlay.base
 val snapshot : t -> Snapshot.t
 
 (** Pin the current epoch: the returned snapshot stays valid (and its
-    semantic-cache entries stay retained) until {!unpin}. *)
+    memo keeps its entries) until {!unpin}. *)
 val pin : t -> Snapshot.t
 
 (** Release a pinned snapshot. Unpinning a snapshot that is not the
-    current epoch and has no other pins retires it. Unknown epochs are
-    ignored (idempotent). *)
+    current epoch and has no other pins retires it (and empties its
+    memo). Unknown epochs are ignored (idempotent). *)
 val unpin : t -> Snapshot.t -> unit
 
 (** [with_pinned t f] pins, runs [f] on the pinned snapshot, and
@@ -40,8 +41,7 @@ val with_pinned : t -> (Snapshot.t -> 'a) -> 'a
 val commit : t -> Overlay.t -> Overlay.base * Overlay.reuse
 
 (** Epoch stamps still reachable: the current epoch plus every pinned
-    older one — what {!val-commit} survivors look like to cache
-    retention. *)
+    older one. *)
 val live_epochs : t -> int list
 
 (** Number of commits performed through this manager. *)

@@ -259,12 +259,9 @@ let num_ops store = List.length store.ops
 
 (* Rewrite the journal as the minimal history of the current state. *)
 let checkpoint store =
-  let g = graph store in
-  let ops = ops_of_graph g in
+  let ops = ops_of_graph (graph store) in
+  Gqkg_util.Atomic_file.write store.path (fun oc -> output_string oc (ops_to_string ops));
   close_out store.channel;
-  let oc = open_out store.path in
-  output_string oc (ops_to_string ops);
-  close_out oc;
   store.channel <- open_out_gen [ Open_append ] 0o644 store.path;
   store.ops <- List.rev ops
 

@@ -72,7 +72,9 @@ val graph : store -> Property_graph.t
 
 val num_ops : store -> int
 
-(** Rewrite the journal as the minimal history of the current state. *)
+(** Rewrite the journal as the minimal history of the current state,
+    atomically: a checkpoint that fails or is killed part-way leaves
+    the previous journal intact. *)
 val checkpoint : store -> unit
 
 val close_store : store -> unit

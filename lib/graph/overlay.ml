@@ -1,9 +1,9 @@
 (* Delta overlay over a frozen snapshot: the write path of the MVCC
    epoch design.  Mutations accumulate in cheap delta structures (dead
    flags over the base, appended new objects, property-override tables,
-   a live name index); reads answer base ∪ adds ∖ deletes; [commit]
-   re-freezes incrementally, physically sharing every column the delta
-   did not touch.
+   a name index of the new objects); reads answer base ∪ adds ∖
+   deletes; [commit] re-freezes incrementally, physically sharing every
+   column the delta did not touch.
 
    Numbering invariant: base survivors keep base order, new objects
    append in insertion order — the same order [Journal.replay_ops]
@@ -17,6 +17,50 @@
 
 module B = Gqkg_util.Bitset
 
+(* Id -> index over one id column, by open addressing: each slot holds
+   an index into the column or -1, probed linearly from the id's hash.
+   Immutable once built, so a base shares it freely; a commit that only
+   appends ids extends a copy instead of re-hashing every id. *)
+module Id_index = struct
+  type t = int array
+
+  let insert tbl ids i =
+    let mask = Array.length tbl - 1 in
+    let rec go j = if tbl.(j) < 0 then tbl.(j) <- i else go ((j + 1) land mask) in
+    go (Const.hash ids.(i) land mask)
+
+  (* At most half full. *)
+  let capacity n =
+    let rec up c = if c >= 2 * n then c else up (2 * c) in
+    up 8
+
+  let build ids =
+    let tbl = Array.make (capacity (Array.length ids)) (-1) in
+    Array.iteri (fun i _ -> insert tbl ids i) ids;
+    tbl
+
+  (* The index of [ids], whose first [from] ids are the ones [tbl]
+     indexes. *)
+  let extend tbl ids ~from =
+    if capacity (Array.length ids) > Array.length tbl then build ids
+    else begin
+      let tbl = Array.copy tbl in
+      for i = from to Array.length ids - 1 do
+        insert tbl ids i
+      done;
+      tbl
+    end
+
+  (* The index of [id] in [ids], or -1. *)
+  let find tbl ids id =
+    let mask = Array.length tbl - 1 in
+    let rec go j =
+      let i = tbl.(j) in
+      if i < 0 || Const.equal ids.(i) id then i else go ((j + 1) land mask)
+    in
+    go (Const.hash id land mask)
+end
+
 type base = {
   snap : Snapshot.t;
   node_ids : Const.t array;
@@ -27,6 +71,8 @@ type base = {
   edge_props : Property_graph.properties array;
   edge_label_univ : Const.t array; (* interned universe in label-id order *)
   node_label_univ : Const.t array;
+  node_index : Id_index.t; (* over node_ids *)
+  edge_index : Id_index.t; (* over edge_ids *)
 }
 
 let snapshot b = b.snap
@@ -73,16 +119,20 @@ let base_of_property g =
      the universes [Snapshot.of_property] interned. *)
   let _, edge_label_univ = Snapshot.intern ~n:m ~get:(Property_graph.edge_label g) in
   let _, node_label_univ = Snapshot.intern ~n ~get:(Property_graph.node_label g) in
+  let node_ids = Array.init n (Property_graph.node_id g) in
+  let edge_ids = Array.init m (Property_graph.edge_id g) in
   {
     snap;
-    node_ids = Array.init n (Property_graph.node_id g);
+    node_ids;
     node_labels = Array.init n (Property_graph.node_label g);
     node_props = Array.init n (Property_graph.node_properties g);
-    edge_ids = Array.init m (Property_graph.edge_id g);
+    edge_ids;
     edge_labels = Array.init m (Property_graph.edge_label g);
     edge_props = Array.init m (Property_graph.edge_properties g);
     edge_label_univ;
     node_label_univ;
+    node_index = Id_index.build node_ids;
+    edge_index = Id_index.build edge_ids;
   }
 
 let base_of_snapshot (s : Snapshot.t) =
@@ -107,16 +157,20 @@ let base_of_snapshot (s : Snapshot.t) =
   done;
   if s.Snapshot.num_labels = 0 && m > 0 then
     invalid_arg "Overlay.base_of_snapshot: snapshot has no edge-label index";
+  let node_ids = Array.init n (fun v -> Const.of_string (s.Snapshot.node_name v)) in
+  let edge_ids = Array.init m (fun e -> Const.of_string (s.Snapshot.edge_name e)) in
   {
     snap = s;
-    node_ids = Array.init n (fun v -> Const.of_string (s.Snapshot.node_name v));
+    node_ids;
     node_labels;
     node_props = Array.make n [||];
-    edge_ids = Array.init m (fun e -> Const.of_string (s.Snapshot.edge_name e));
+    edge_ids;
     edge_labels = Array.init m (fun e -> edge_label_univ.(s.Snapshot.elabel.(e)));
     edge_props = Array.make m [||];
     edge_label_univ;
     node_label_univ;
+    node_index = Id_index.build node_ids;
+    edge_index = Id_index.build edge_ids;
   }
 
 (* ---------------- The delta ------------------------------------------- *)
@@ -149,18 +203,14 @@ type t = {
   mutable new_edges : new_edge list; (* reversed *)
   bprops_n : (int, (Const.t * Const.t) list) Hashtbl.t; (* touched base nodes: full current assoc *)
   bprops_e : (int, (Const.t * Const.t) list) Hashtbl.t;
-  nodes_by_id : (Const.t, node_handle) Hashtbl.t; (* live objects only *)
-  edges_by_id : (Const.t, edge_handle) Hashtbl.t;
+  new_nodes_by_id : (Const.t, new_node) Hashtbl.t; (* live new objects only *)
+  new_edges_by_id : (Const.t, new_edge) Hashtbl.t;
   mutable ops : int;
 }
 
 let create base =
   let s = base.snap in
   let n = s.Snapshot.num_nodes and m = s.Snapshot.num_edges in
-  let nodes_by_id = Hashtbl.create (n + 16) in
-  Array.iteri (fun v id -> Hashtbl.replace nodes_by_id id (Bnode v)) base.node_ids;
-  let edges_by_id = Hashtbl.create (m + 16) in
-  Array.iteri (fun e id -> Hashtbl.replace edges_by_id id (Bedge e)) base.edge_ids;
   {
     base;
     dead_node = Array.make (max n 1) false;
@@ -171,10 +221,28 @@ let create base =
     new_edges = [];
     bprops_n = Hashtbl.create 16;
     bprops_e = Hashtbl.create 16;
-    nodes_by_id;
-    edges_by_id;
+    new_nodes_by_id = Hashtbl.create 16;
+    new_edges_by_id = Hashtbl.create 16;
     ops = 0;
   }
+
+(* A live object by id: a new one, else a base one not deleted. *)
+let find_node t id =
+  match Hashtbl.find_opt t.new_nodes_by_id id with
+  | Some r -> Some (Nnode r)
+  | None ->
+      let v = Id_index.find t.base.node_index t.base.node_ids id in
+      if v >= 0 && not t.dead_node.(v) then Some (Bnode v) else None
+
+let find_edge t id =
+  match Hashtbl.find_opt t.new_edges_by_id id with
+  | Some r -> Some (Nedge r)
+  | None ->
+      let e = Id_index.find t.base.edge_index t.base.edge_ids id in
+      if e >= 0 && not t.dead_edge.(e) then Some (Bedge e) else None
+
+let mem_node t id = Option.is_some (find_node t id)
+let mem_edge t id = Option.is_some (find_edge t id)
 
 let base t = t.base
 let size t = t.ops
@@ -204,46 +272,45 @@ let base_props_assoc over props i =
 let kill_base_edge t e =
   t.dead_edge.(e) <- true;
   t.n_dead_edges <- t.n_dead_edges + 1;
-  Hashtbl.remove t.bprops_e e;
-  Hashtbl.remove t.edges_by_id t.base.edge_ids.(e)
+  Hashtbl.remove t.bprops_e e
 
 let kill_new_edge t (r : new_edge) =
   t.new_edges <- List.filter (fun x -> x != r) t.new_edges;
-  Hashtbl.remove t.edges_by_id r.e_id
+  Hashtbl.remove t.new_edges_by_id r.e_id
 
 let apply ?file ?(line = 0) t op =
   let add_node id label =
-    if Hashtbl.mem t.nodes_by_id id then fail ?file line "node %s already exists" (Const.to_string id);
+    if mem_node t id then fail ?file line "node %s already exists" (Const.to_string id);
     let r = { n_id = id; n_label = label; n_props = []; n_final = -1 } in
     t.new_nodes <- r :: t.new_nodes;
-    Hashtbl.replace t.nodes_by_id id (Nnode r)
+    Hashtbl.replace t.new_nodes_by_id id r
   in
   let add_edge id src dst label =
-    if Hashtbl.mem t.edges_by_id id then fail ?file line "edge %s already exists" (Const.to_string id);
-    if not (Hashtbl.mem t.nodes_by_id src) then
+    if mem_edge t id then fail ?file line "edge %s already exists" (Const.to_string id);
+    if not (mem_node t src) then
       fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string src);
-    if not (Hashtbl.mem t.nodes_by_id dst) then
+    if not (mem_node t dst) then
       fail ?file line "edge %s references missing node %s" (Const.to_string id) (Const.to_string dst);
     let r = { e_id = id; e_src = src; e_dst = dst; e_label = label; e_props = [] } in
     t.new_edges <- r :: t.new_edges;
-    Hashtbl.replace t.edges_by_id id (Nedge r)
+    Hashtbl.replace t.new_edges_by_id id r
   in
   let node_of id =
-    match Hashtbl.find_opt t.nodes_by_id id with
+    match find_node t id with
     | Some h -> h
     | None -> fail ?file line "no node %s" (Const.to_string id)
   in
   let edge_of id =
-    match Hashtbl.find_opt t.edges_by_id id with
+    match find_edge t id with
     | Some h -> h
     | None -> fail ?file line "no edge %s" (Const.to_string id)
   in
   (match op with
   | Mutation.Add_node { id; label } -> add_node id label
-  | Merge_node { id; label } -> if not (Hashtbl.mem t.nodes_by_id id) then add_node id label
+  | Merge_node { id; label } -> if not (mem_node t id) then add_node id label
   | Add_edge { id; src; dst; label } -> add_edge id src dst label
   | Merge_edge { id; src; dst; label } ->
-      if not (Hashtbl.mem t.edges_by_id id) then add_edge id src dst label
+      if not (mem_edge t id) then add_edge id src dst label
   | Set_node_prop { id; prop; value } -> (
       match node_of id with
       | Bnode i ->
@@ -270,7 +337,6 @@ let apply ?file ?(line = 0) t op =
       | Nedge r -> r.e_props <- assoc_del r.e_props prop)
   | Del_node { id } -> (
       let h = node_of id in
-      Hashtbl.remove t.nodes_by_id id;
       (* Cascade over incident live edges: base edges via the CSR
          adjacency of a base node, new edges by endpoint id (they are
          the only edges that can reference a new node). *)
@@ -282,7 +348,9 @@ let apply ?file ?(line = 0) t op =
           Hashtbl.remove t.bprops_n i;
           Snapshot.iter_out s i (fun e _ -> if not t.dead_edge.(e) then kill_base_edge t e);
           Snapshot.iter_in s i (fun e _ -> if not t.dead_edge.(e) then kill_base_edge t e)
-      | Nnode r -> t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes);
+      | Nnode r ->
+          t.new_nodes <- List.filter (fun x -> x != r) t.new_nodes;
+          Hashtbl.remove t.new_nodes_by_id id);
       let doomed =
         List.filter (fun r -> Const.equal r.e_src id || Const.equal r.e_dst id) t.new_edges
       in
@@ -295,29 +363,26 @@ let apply ?file ?(line = 0) t op =
 
 (* ---------------- Reads through the overlay --------------------------- *)
 
-let mem_node t id = Hashtbl.mem t.nodes_by_id id
-let mem_edge t id = Hashtbl.mem t.edges_by_id id
-
 let node_label t id =
-  match Hashtbl.find_opt t.nodes_by_id id with
+  match find_node t id with
   | Some (Bnode i) -> Some t.base.node_labels.(i)
   | Some (Nnode r) -> Some r.n_label
   | None -> None
 
 let node_prop t id prop =
-  match Hashtbl.find_opt t.nodes_by_id id with
+  match find_node t id with
   | Some (Bnode i) -> assoc_find (base_props_assoc t.bprops_n t.base.node_props i) prop
   | Some (Nnode r) -> assoc_find r.n_props prop
   | None -> None
 
 let edge_prop t id prop =
-  match Hashtbl.find_opt t.edges_by_id id with
+  match find_edge t id with
   | Some (Bedge e) -> assoc_find (base_props_assoc t.bprops_e t.base.edge_props e) prop
   | Some (Nedge r) -> assoc_find r.e_props prop
   | None -> None
 
 let adjacency t id ~out =
-  match Hashtbl.find_opt t.nodes_by_id id with
+  match find_node t id with
   | None -> None
   | Some h ->
       let b = t.base and s = t.base.snap in
@@ -424,8 +489,8 @@ let commit t =
       else begin
         col "node_ids" false;
         col "node_labels" false;
-        let ids = Array.make (max n1 1) Const.Bottom in
-        let labs = Array.make (max n1 1) Const.Bottom in
+        let ids = Array.make n1 Const.Bottom in
+        let labs = Array.make n1 Const.Bottom in
         for v = 0 to n0 - 1 do
           if not t.dead_node.(v) then begin
             let k = final_of_base v in
@@ -440,7 +505,7 @@ let commit t =
             ids.(k) <- r.n_id;
             labs.(k) <- r.n_label)
           new_nodes;
-        (Array.sub ids 0 n1, Array.sub labs 0 n1)
+        (ids, labs)
       end
     in
     (* Assign finals even when node columns were reused (no adds, no
@@ -452,7 +517,7 @@ let commit t =
       end
       else begin
         col "node_props" false;
-        let props = Array.make (max n1 1) [||] in
+        let props = Array.make n1 [||] in
         for v = 0 to n0 - 1 do
           if not t.dead_node.(v) then
             props.(final_of_base v) <-
@@ -461,7 +526,7 @@ let commit t =
               | None -> b.node_props.(v))
         done;
         List.iter (fun r -> props.(r.n_final) <- sorted_props r.n_props) new_nodes;
-        Array.sub props 0 n1
+        props
       end
     in
     let node_label_univ, ntbl =
@@ -512,9 +577,10 @@ let commit t =
     let num_labels = Array.length edge_label_univ in
     let m1 = m0 - t.n_dead_edges + List.length new_edges in
     let final_of_node_id id =
-      match Hashtbl.find t.nodes_by_id id with
-      | Bnode v -> final_of_base v
-      | Nnode r -> r.n_final
+      match find_node t id with
+      | Some (Bnode v) -> final_of_base v
+      | Some (Nnode r) -> r.n_final
+      | None -> assert false (* deleting a node kills its new edges *)
     in
     let esrc, edst, elabel, edge_ids, edge_labels =
       if not edge_cols_fresh then begin
@@ -523,10 +589,10 @@ let commit t =
       end
       else begin
         List.iter (fun c -> col c false) [ "esrc"; "edst"; "elabel"; "edge_ids"; "edge_labels" ];
-        let esrc = Array.make (max m1 1) 0 and edst = Array.make (max m1 1) 0 in
-        let elabel = Array.make (max m1 1) 0 in
-        let ids = Array.make (max m1 1) Const.Bottom in
-        let labs = Array.make (max m1 1) Const.Bottom in
+        let esrc = Array.make m1 0 and edst = Array.make m1 0 in
+        let elabel = Array.make m1 0 in
+        let ids = Array.make m1 Const.Bottom in
+        let labs = Array.make m1 Const.Bottom in
         let k = ref 0 in
         for e = 0 to m0 - 1 do
           if not t.dead_edge.(e) then begin
@@ -547,11 +613,7 @@ let commit t =
             labs.(!k) <- r.e_label;
             incr k)
           new_edges;
-        ( Array.sub esrc 0 m1,
-          Array.sub edst 0 m1,
-          Array.sub elabel 0 m1,
-          Array.sub ids 0 m1,
-          Array.sub labs 0 m1 )
+        (esrc, edst, elabel, ids, labs)
       end
     in
     let edge_props =
@@ -561,7 +623,7 @@ let commit t =
       end
       else begin
         col "edge_props" false;
-        let props = Array.make (max m1 1) [||] in
+        let props = Array.make m1 [||] in
         let k = ref 0 in
         for e = 0 to m0 - 1 do
           if not t.dead_edge.(e) then begin
@@ -577,7 +639,7 @@ let commit t =
             props.(!k) <- sorted_props r.e_props;
             incr k)
           new_edges;
-        Array.sub props 0 m1
+        props
       end
     in
     let edge_label_counts =
@@ -685,6 +747,7 @@ let commit t =
         edge_name = (fun e -> Const.to_string edge_ids.(e));
         stats;
         epoch = Snapshot.fresh_epoch ();
+        memo = Memo.create ();
       }
     in
     ( {
@@ -697,6 +760,16 @@ let commit t =
         edge_props;
         edge_label_univ;
         node_label_univ;
+        (* Survivors keep their indexes unless something was deleted, so
+           an append-only delta extends the previous index. *)
+        node_index =
+          (if renumber then Id_index.build node_ids
+           else if nodes_added then Id_index.extend b.node_index node_ids ~from:n0
+           else b.node_index);
+        edge_index =
+          (if edges_deleted then Id_index.build edge_ids
+           else if edges_added then Id_index.extend b.edge_index edge_ids ~from:m0
+           else b.edge_index);
       },
       { reused = List.rev !reused; rebuilt = List.rev !rebuilt } )
   end

@@ -6,12 +6,12 @@
    Section 4 engines touch plain int arrays instead of per-model
    closures.  The adapters that used to live in each model
    (Labeled_graph.to_instance and friends) collapse into the [of_*]
-   constructors below plus [Rdf_graph.to_snapshot] in gqkg_kg; the
-   legacy record survives only behind {!to_instance}.
+   constructors below plus [Rdf_graph.to_snapshot] in gqkg_kg.
 
-   Everything in the record is immutable after [make] returns, and the
-   hot fields are plain int arrays, so snapshots are shared freely
-   across OCaml 5 domains (Product.levels, betweenness_parallel). *)
+   Everything in the record but the mutex-guarded [memo] is immutable
+   after [make] returns, and the hot fields are plain int arrays, so
+   snapshots are shared freely across OCaml 5 domains (Product.levels,
+   betweenness_parallel). *)
 
 module B = Gqkg_util.Bitset
 
@@ -54,11 +54,12 @@ type t = {
   edge_name : int -> string;
   stats : stats;
   epoch : int;
+  memo : Memo.t;
 }
 
 (* Process-wide epoch counter: every snapshot constructed in this
-   process (via [make] or the loader's literal record) gets a distinct
-   stamp; the Governor's semantic cache keys on it. *)
+   process (via [make] or the loader's and the overlay's literal
+   records) gets a distinct stamp. *)
 let epoch_counter = Atomic.make 0
 let fresh_epoch () = Atomic.fetch_and_add epoch_counter 1
 
@@ -209,6 +210,7 @@ let make ~num_nodes ~esrc ~edst ~num_labels ~elabel ~label_names ~label_sat ~num
     edge_name;
     stats = stats_of_columns ~num_nodes ~out_off ~in_off ~edge_label_counts ~node_label_counts;
     epoch = fresh_epoch ();
+    memo = Memo.create ();
   }
 
 let intern ~n ~get =
@@ -362,25 +364,3 @@ let describe s =
        s.stats.out_degree_p99 s.stats.out_degree_max s.stats.in_degree_p50 s.stats.in_degree_p99
        s.stats.in_degree_max);
   Buffer.contents buf
-
-let to_instance s =
-  {
-    Instance.num_nodes = s.num_nodes;
-    num_edges = s.num_edges;
-    endpoints = endpoints s;
-    out_edges = out_pairs s;
-    in_edges = in_pairs s;
-    node_atom = s.node_atom;
-    edge_atom = s.edge_atom;
-    node_name = s.node_name;
-    edge_name = s.edge_name;
-    labels =
-      (if s.num_labels > 0 then
-         Some
-           {
-             Instance.num_labels = s.num_labels;
-             edge_label_id = (fun e -> s.elabel.(e));
-             label_sat = s.label_sat;
-           }
-       else None);
-  }

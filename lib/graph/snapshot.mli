@@ -9,7 +9,8 @@
     against it.
 
     All array fields are plain immutable int arrays — a snapshot can be
-    shared across OCaml 5 domains without synchronization. Hot paths
+    shared across OCaml 5 domains without synchronization (its [memo]
+    guards itself). Hot paths
     (the product kernel, Brandes) index the arrays directly; the closure
     fields ([node_atom], [edge_atom], names) serve the cold oracle
     paths only. *)
@@ -72,8 +73,13 @@ type t = {
   stats : stats;
   epoch : int;
       (** Process-unique freeze stamp: every constructed snapshot gets a
-          fresh value, so (epoch, canonical query key) identifies a
-          result set — the semantic cache key of the Governor. *)
+          fresh value — the version that epoch managers and server
+          replies name. *)
+  memo : Memo.t;
+      (** Values derived from this snapshot alone (join index, schema,
+          semantic plan and result caches), held for as long as the
+          snapshot lives and dropped when {!Epochs} retires its epoch.
+          Fresh at every construction. *)
 }
 
 (** [make] builds the CSR image, label bitmaps and stats from columnar
@@ -175,8 +181,3 @@ val disjoint_union : t -> t -> t
     universe with multiplicities, and degree percentiles (p50/p99/max)
     — what [gqkg explain] and [gqkg stats] print. *)
 val describe : t -> string
-
-(** Thin compatibility shim onto the legacy closure record. The
-    resulting instance shares the snapshot's arrays; adjacency closures
-    materialize fresh pair arrays per call. *)
-val to_instance : t -> Instance.t

@@ -161,7 +161,11 @@ let write_ints ch buf width a =
     i := !i + k
   done
 
+(* The encoding runs inside the atomic writer, so a failure anywhere —
+   including in the snapshot's own name closures — removes the temp
+   file and leaves any previous file at [path] as it was. *)
 let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
+  Gqkg_util.Atomic_file.write path @@ fun ch ->
   let n = s.num_nodes and m = s.num_edges in
   let perm =
     match perm with
@@ -234,50 +238,46 @@ let save ?(names = `Auto) ?perm ~path (s : Snapshot.t) =
     C.finish !h
   in
   let count = List.length secs in
-  let ch = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr ch)
-    (fun () ->
-      let hdr = Bytes.make header_bytes '\000' in
-      Bytes.blit_string magic 0 hdr 0 8;
-      Bytes.set_int32_le hdr 8 (Int32.of_int version);
-      Bytes.set_int32_le hdr 12 (Int32.of_int flags);
-      Bytes.set_int64_le hdr 16 (Int64.of_int n);
-      Bytes.set_int64_le hdr 24 (Int64.of_int m);
-      Bytes.set_int32_le hdr 32 (Int32.of_int s.num_labels);
-      Bytes.set_int32_le hdr 36 (Int32.of_int s.num_node_labels);
-      Bytes.set_int32_le hdr 40 (Int32.of_int count);
-      Bytes.set_int64_le hdr 48 (Int64.of_int checksum);
-      output_bytes ch hdr;
-      let table = Bytes.make (count * table_entry_bytes) '\000' in
-      let payload_base = header_bytes + (count * table_entry_bytes) in
-      let off = ref payload_base in
-      List.iteri
-        (fun i sec ->
-          let b = i * table_entry_bytes in
-          Bytes.set_int32_le table b (Int32.of_int sec.id);
-          Bytes.set_int32_le table (b + 4) (Int32.of_int sec.width);
-          Bytes.set_int64_le table (b + 8) (Int64.of_int !off);
-          Bytes.set_int64_le table (b + 16) (Int64.of_int (payload_bytes sec));
-          off := !off + payload_bytes sec)
-        secs;
-      output_bytes ch table;
-      let buf = Bytes.create (64 * 1024) in
-      List.iter
-        (fun sec ->
-          match sec.payload with
-          | Ints a -> write_ints ch buf sec.width a
-          | Blob b -> output_string ch b)
-        secs;
-      let file_bytes = !off in
-      {
-        file_bytes;
-        sections = count;
-        bytes_per_edge = float_of_int file_bytes /. float_of_int (max m 1);
-        checksum;
-        renumbered = perm <> None;
-        names_kept = keep_names;
-      })
+  let hdr = Bytes.make header_bytes '\000' in
+  Bytes.blit_string magic 0 hdr 0 8;
+  Bytes.set_int32_le hdr 8 (Int32.of_int version);
+  Bytes.set_int32_le hdr 12 (Int32.of_int flags);
+  Bytes.set_int64_le hdr 16 (Int64.of_int n);
+  Bytes.set_int64_le hdr 24 (Int64.of_int m);
+  Bytes.set_int32_le hdr 32 (Int32.of_int s.num_labels);
+  Bytes.set_int32_le hdr 36 (Int32.of_int s.num_node_labels);
+  Bytes.set_int32_le hdr 40 (Int32.of_int count);
+  Bytes.set_int64_le hdr 48 (Int64.of_int checksum);
+  output_bytes ch hdr;
+  let table = Bytes.make (count * table_entry_bytes) '\000' in
+  let payload_base = header_bytes + (count * table_entry_bytes) in
+  let off = ref payload_base in
+  List.iteri
+    (fun i sec ->
+      let b = i * table_entry_bytes in
+      Bytes.set_int32_le table b (Int32.of_int sec.id);
+      Bytes.set_int32_le table (b + 4) (Int32.of_int sec.width);
+      Bytes.set_int64_le table (b + 8) (Int64.of_int !off);
+      Bytes.set_int64_le table (b + 16) (Int64.of_int (payload_bytes sec));
+      off := !off + payload_bytes sec)
+    secs;
+  output_bytes ch table;
+  let buf = Bytes.create (64 * 1024) in
+  List.iter
+    (fun sec ->
+      match sec.payload with
+      | Ints a -> write_ints ch buf sec.width a
+      | Blob b -> output_string ch b)
+    secs;
+  let file_bytes = !off in
+  {
+    file_bytes;
+    sections = count;
+    bytes_per_edge = float_of_int file_bytes /. float_of_int (max m 1);
+    checksum;
+    renumbered = perm <> None;
+    names_kept = keep_names;
+  }
 
 (* ---- load -------------------------------------------------------------- *)
 
@@ -632,6 +632,7 @@ let load_with_perm path =
           node_label_counts;
         };
       epoch = Snapshot.fresh_epoch ();
+      memo = Memo.create ();
     }
   in
   (snapshot, perm)

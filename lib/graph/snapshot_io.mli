@@ -70,7 +70,9 @@ type report = {
     the pre-renumbering ids; identity permutations are elided. [names]:
     [`Auto] (default) detects synthetic generator names and drops the
     tables when lossless to do so, [`Keep] always writes them, [`Drop]
-    never does (loaded names become ["n<old-id>"]). *)
+    never does (loaded names become ["n<old-id>"]). The file is
+    replaced atomically ({!Gqkg_util.Atomic_file}): a save that fails
+    or is killed part-way leaves the previous file at [path] intact. *)
 val save :
   ?names:[ `Auto | `Keep | `Drop ] ->
   ?perm:Renumber.permutation ->

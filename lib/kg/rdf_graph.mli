@@ -1,6 +1,6 @@
 (** RDF graphs as labeled graphs (Section 3): each triple (s, p, o) is
-    an edge from s to o labeled p. Exposing a triple store through the
-    uniform Instance view lets every Section 4 algorithm run unchanged
+    an edge from s to o labeled p. Freezing a triple store to the
+    uniform columnar Snapshot lets every Section 4 algorithm run unchanged
     over RDF. Atomic tests: an edge satisfies label ℓ when its predicate
     is ℓ or has local name ℓ; a node satisfies ℓ when it has a matching
     rdf:type; (p = v) holds when a literal-valued triple exists. *)

@@ -296,7 +296,10 @@ let test_cache_partial_never_stored () =
   (match o1.Budget.completeness with
   | Budget.Partial _ -> ()
   | Budget.Complete -> Alcotest.fail "expected a partial result under max_states 2");
-  checki "partial not stored" 0 (Semcache.stats ()).Semcache.result_entries;
+  checkb "partial not stored" true
+    (match Planner.semantic_key inst r with
+    | Some key -> Semcache.find_pairs inst ~key = None
+    | None -> Alcotest.fail "expected a canonical key");
   let o2 = Governor.eval_pairs ~budget:(Budget.create ()) inst r in
   checkb "full run complete" true (o2.Budget.completeness = Budget.Complete);
   checkb "partial is subset" true
@@ -315,6 +318,18 @@ let test_cache_epoch_isolation () =
   let before = (Semcache.stats ()).Semcache.result_hits in
   ignore (Governor.eval_pairs ~budget:(Budget.create ()) s2 r);
   checki "no cross-snapshot hit" before (Semcache.stats ()).Semcache.result_hits
+
+(* A cached product keeps growing while a kernel walks it, so a plan
+   stored by one thread is never handed to another. *)
+let test_plan_cache_per_thread () =
+  let inst = xy_instance 23 12 30 in
+  let r = parse "(x/y)*" in
+  let hit () = (Planner.prepare_explained inst r).Planner.plan_cache_hit in
+  checkb "first plan is built" false (hit ());
+  checkb "same thread reuses it" true (hit ());
+  let other = ref true in
+  Thread.join (Thread.create (fun () -> other := hit ()) ());
+  checkb "another thread builds its own" false !other
 
 (* ---------- QCheck properties ---------- *)
 
@@ -460,6 +475,7 @@ let () =
           Alcotest.test_case "equivalent-query hit" `Quick test_cache_hit_and_equivalence;
           Alcotest.test_case "partial never stored" `Quick test_cache_partial_never_stored;
           Alcotest.test_case "epoch isolation" `Quick test_cache_epoch_isolation;
+          Alcotest.test_case "plans per thread" `Quick test_plan_cache_per_thread;
         ] );
       ( "properties",
         q

@@ -232,18 +232,92 @@ let test_readers_never_block () =
   let r1' = eval pinned in
   checkb "pinned epoch still answers identically" true (r1 = r1');
   checki "two epochs live while pinned" 2 (List.length (Epochs.live_epochs mgr));
-  let s = Semcache.stats () in
-  checki "commit noted by the cache" 1 s.Semcache.commits;
-  checki "pinned epoch's entries retained" 0 s.Semcache.invalidated;
+  checki "pinned epoch's entries retained" 0 (Semcache.stats ()).Semcache.invalidated;
+  checkb "pinned epoch's memo holds its entries" true (Memo.size pinned.Snapshot.memo > 0);
   Epochs.unpin mgr pinned;
   checki "old epoch retired on unpin" 1 (Epochs.retired mgr);
   checki "one live epoch after unpin" 1 (List.length (Epochs.live_epochs mgr));
-  (* The next commit sweeps the retired epochs' cache entries. *)
-  let ov2 = Overlay.create (Epochs.base mgr) in
-  Overlay.apply ov2 (Mutation.Set_node_prop { id = c "a"; prop = c "age"; value = Const.int 1 });
-  ignore (Governor.commit mgr ov2);
-  let s2 = Semcache.stats () in
-  checkb "retired epochs' entries invalidated" true (s2.Semcache.invalidated > 0)
+  (* The unpin that retires the epoch drops its entries; no further
+     commit is needed. *)
+  checkb "retired epoch's entries invalidated" true ((Semcache.stats ()).Semcache.invalidated > 0);
+  checki "retired epoch's memo empty" 0 (Memo.size pinned.Snapshot.memo);
+  ignore (eval pinned);
+  checki "retired memo refuses new entries" 0 (Memo.size pinned.Snapshot.memo)
+
+(* ---------- concurrent readers against a committing writer ---------- *)
+
+(* Four reader systhreads evaluate through the semantic caches and the
+   join index on pinned snapshots while the writer commits 20 epochs,
+   each adding one person and two edges.  Every answer must equal a
+   from-scratch rebuild of the pinned state (edge counts name the
+   epoch), and once everything is unpinned, only the current epoch is
+   live and every retired snapshot's memo is empty. *)
+let test_concurrent_readers_and_writer () =
+  let n_epochs = 20 and base_people = 6 in
+  let person k = c (Printf.sprintf "p%d" k) in
+  let edge k lbl src dst = Mutation.Add_edge { id = c (Printf.sprintf "%s%d" lbl k); src; dst; label = c lbl } in
+  let base_ops =
+    List.init base_people (fun k -> Mutation.Add_node { id = person k; label = c "person" })
+    @ List.init base_people (fun k -> edge k "knows" (person k) (person ((k + 1) mod base_people)))
+  in
+  let batch k =
+    let p = base_people + k - 1 in
+    [
+      Mutation.Add_node { id = person p; label = c "person" };
+      edge p "knows" (person p) (person (k * 7 mod p));
+      edge p "likes" (person (((k * 3) + 1) mod p)) (person p);
+    ]
+  in
+  let state k = base_ops @ List.concat (List.init k (fun i -> batch (i + 1))) in
+  let epoch_of (snap : Snapshot.t) = (snap.num_edges - base_people) / 2 in
+  let pair_queries = List.map parse [ "knows"; "knows/likes"; "(knows + likes^-)*"; "?person/knows/knows" ] in
+  let crpq =
+    Gqkg_logic.Crpq_parser.parse "SELECT x, z WHERE (x)-[knows]->(y), (y)-[(knows + likes)*]->(z)"
+  in
+  let expected =
+    Array.init (n_epochs + 1) (fun k ->
+        let scratch = Snapshot.of_property (Journal.replay_ops (state k)) in
+        ( List.map (fun r -> sortp (Rpq.eval_pairs scratch r)) pair_queries,
+          sortp (Gqkg_logic.Crpq.answers_backtrack scratch crpq) ))
+  in
+  let mgr = Epochs.create (Overlay.base_of_property (Journal.replay_ops base_ops)) in
+  let all_snaps = ref [ Epochs.snapshot mgr ] in
+  let writer_done = Atomic.make false and failures = Atomic.make 0 and reads = Atomic.make 0 in
+  let reader () =
+    let rounds = ref 0 in
+    while not (Atomic.get writer_done && !rounds >= 5) do
+      incr rounds;
+      Epochs.with_pinned mgr (fun snap ->
+          let want_pairs, want_rows = expected.(epoch_of snap) in
+          List.iter2
+            (fun r want ->
+              let o = Governor.eval_pairs ~use_cache:true ~budget:(Budget.create ()) snap r in
+              if sortp o.Budget.value <> want then Atomic.incr failures)
+            pair_queries want_pairs;
+          if sortp (Gqkg_logic.Crpq.answers snap crpq) <> want_rows then Atomic.incr failures;
+          Atomic.incr reads);
+      Thread.yield ()
+    done
+  in
+  let readers = List.init 4 (fun _ -> Thread.create reader ()) in
+  for k = 1 to n_epochs do
+    let ov = Overlay.create (Epochs.base mgr) in
+    List.iter (Overlay.apply ov) (batch k);
+    ignore (Governor.commit mgr ov);
+    all_snaps := Epochs.snapshot mgr :: !all_snaps;
+    Thread.delay 0.002
+  done;
+  Atomic.set writer_done true;
+  List.iter Thread.join readers;
+  checki "every answer equals the scratch oracle" 0 (Atomic.get failures);
+  checkb "readers ran" true (Atomic.get reads >= 20);
+  checki "no pins left" 0 (Epochs.pins mgr);
+  checki "one live epoch" 1 (List.length (Epochs.live_epochs mgr));
+  match !all_snaps with
+  | current :: retired ->
+      checki "current epoch is the last commit" n_epochs (epoch_of current);
+      List.iter (fun (s : Snapshot.t) -> checki "retired memo empty" 0 (Memo.size s.memo)) retired
+  | [] -> assert false
 
 (* ---------- batched frontier with many sources (multi-word batches) ---------- *)
 
@@ -374,7 +448,25 @@ let test_overlay_reads () =
   let b', _ = Overlay.commit ov in
   let s = Overlay.snapshot b' in
   checki "committed nodes" 3 s.Snapshot.num_nodes;
-  checki "committed edges" 2 s.Snapshot.num_edges
+  checki "committed edges" 2 s.Snapshot.num_edges;
+  (* Two commits branching off one base each see their own ids only. *)
+  let branch id =
+    let ov = Overlay.create b in
+    Overlay.apply ov (Mutation.Add_node { id = c id; label = c "person" });
+    Overlay.create (fst (Overlay.commit ov))
+  in
+  let x = branch "x" and y = branch "y" in
+  checkb "branch x sees x, not y" true (Overlay.mem_node x (c "x") && not (Overlay.mem_node x (c "y")));
+  checkb "branch y sees y, not x" true (Overlay.mem_node y (c "y") && not (Overlay.mem_node y (c "x")));
+  checkb "base sees neither" true
+    (let o = Overlay.create b in
+     not (Overlay.mem_node o (c "x") || Overlay.mem_node o (c "y")));
+  (* A deleted base id is free for reuse within one overlay. *)
+  let ov = Overlay.create b in
+  Overlay.apply ov (Mutation.Del_node { id = c "a" });
+  checkb "deleted id reads as absent" false (Overlay.mem_node ov (c "a"));
+  Overlay.apply ov (Mutation.Add_node { id = c "a"; label = c "place" });
+  checkb "re-added id has its new label" true (Overlay.node_label ov (c "a") = Some (c "place"))
 
 (* ---------- torn-journal crash recovery ---------- *)
 
@@ -401,6 +493,7 @@ let () =
       ( "mvcc",
         [
           Alcotest.test_case "readers never block" `Quick test_readers_never_block;
+          Alcotest.test_case "concurrent readers and writer" `Quick test_concurrent_readers_and_writer;
           Alcotest.test_case "frontier many sources" `Quick test_frontier_many_sources;
         ] );
       ( "reuse",

@@ -2,9 +2,9 @@
    round-trip every model-observable answer (save -> load -> the same
    name-level results for label-only queries), renumbering must be
    answer-invariant bit-for-bit, the CSR of a loaded snapshot must agree
-   with a naive scan of its endpoint columns, the partitioned adjacency
-   must cover every edge exactly once, and corrupt files must raise
-   [Snapshot_io.Corrupt] — never escape as a crash. *)
+   with a naive scan of its endpoint columns, corrupt files must raise
+   [Snapshot_io.Corrupt] — never escape as a crash — and a save that
+   fails part-way must leave the previous file intact. *)
 
 open Gqkg_graph
 open Gqkg_core
@@ -127,23 +127,36 @@ let prop_loaded_csr =
           done;
           true))
 
-(* ---------- QCheck: partitioned adjacency covers every edge once ---------- *)
+(* ---------- a failed save leaves the previous file intact ---------- *)
 
-let prop_partition_cover =
-  QCheck2.Test.make ~name:"partition covers each edge exactly once" ~count:200
-    QCheck2.Gen.(pair graph_gen (int_range 1 4))
-    (fun (g, block_bits) ->
-      let s = make_snapshot g in
-      let p = Partition.build ~block_bits s in
-      let seen = Array.make (max 1 s.Snapshot.num_edges) 0 in
-      for b = 0 to Partition.num_blocks p - 1 do
-        Partition.iter_block p ~block:b (fun e _src dst ->
-            seen.(e) <- seen.(e) + 1;
-            checki "edge filed in its destination's block" b (Partition.block_of_node p dst))
-      done;
-      checkb "each edge once" true
-        (s.Snapshot.num_edges = 0 || Array.for_all (fun c -> c = 1) seen);
-      true)
+let test_failed_save_keeps_previous () =
+  let good = Gqkg_workload.Gen_graph.stream_gnm (Gqkg_util.Splitmix.create 11) ~nodes:200 ~edges:600 in
+  let dir = Filename.temp_file "gqkg_save" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "g.gqs" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      ignore (Snapshot_io.save ~path good);
+      let before = read () in
+      (* The name closure fails half-way through the node table. *)
+      let failing =
+        { good with Snapshot.node_name = (fun v -> if v >= 100 then failwith "disk full" else good.Snapshot.node_name v) }
+      in
+      (match Snapshot_io.save ~names:`Keep ~path failing with
+      | _ -> Alcotest.fail "the save should have raised"
+      | exception Failure _ -> ());
+      checkb "previous file byte-identical" true (String.equal before (read ()));
+      let loaded = Snapshot_io.load path in
+      checkb "previous file loads identically" true
+        (loaded.Snapshot.esrc = good.Snapshot.esrc
+        && loaded.Snapshot.edst = good.Snapshot.edst
+        && loaded.Snapshot.node_name 150 = good.Snapshot.node_name 150);
+      checkb "no temp file left" true (Sys.readdir dir = [| "g.gqs" |]))
 
 (* ---------- synthetic-name elision ---------- *)
 
@@ -268,12 +281,12 @@ let () =
     [
       ("roundtrip", q [ prop_roundtrip; prop_roundtrip_renumbered ]);
       ("renumber", q [ prop_renumber_invariant; prop_loaded_csr ]);
-      ("partition", q [ prop_partition_cover ]);
       ( "contract",
         [
           Alcotest.test_case "synthetic-name elision" `Quick test_synthetic_names;
           Alcotest.test_case "lossiness: Label only" `Quick test_lossiness_contract;
           Alcotest.test_case "read_info" `Quick test_read_info;
+          Alcotest.test_case "failed save keeps previous file" `Quick test_failed_save_keeps_previous;
         ] );
       ( "corrupt",
         q [ prop_byte_flips ]
